@@ -28,6 +28,19 @@ void echo_op(service::Json& response, const service::Json& request) {
     response.set("op", service::Json::string(op->as_string()));
 }
 
+/// A request whose "ok" answer is a pure function of its canonical key:
+/// the one fact behind the line cache, replication and hedging.
+bool cacheable_request(const service::Json& request) {
+  if (!request.is_object()) return false;
+  const service::Json* op = request.get("op");
+  if (op == nullptr || op->type() != service::Json::Type::kString)
+    return false;
+  const auto& name = op->as_string();
+  if (name != "run_study" && name != "run_replication" && name != "annotate")
+    return false;
+  return !request.get_bool("no_cache", false);
+}
+
 }  // namespace
 
 Dispatcher::Dispatcher(DispatcherOptions options)
@@ -203,14 +216,22 @@ void Dispatcher::note_failure(BackendState& backend, bool overload) {
 }
 
 void Dispatcher::note_transport_failure(BackendState& backend) {
-  bool mark_down = true;
+  bool down = true;
   if (options_.down_after_failures > 1) {
     const std::lock_guard<std::mutex> lock(backend.robust_mutex);
-    mark_down =
-        ++backend.transport_failures >= options_.down_after_failures;
-    if (mark_down) backend.transport_failures = 0;
+    down = ++backend.transport_failures >= options_.down_after_failures;
+    if (down) backend.transport_failures = 0;
   }
-  if (mark_down) backend.up.store(false);
+  if (down) mark_down(backend);
+}
+
+void Dispatcher::mark_down(BackendState& backend) {
+  backend.up.store(false);
+  // Whatever comes back up may be a restarted process with another cache:
+  // forget what it was sent, so the next request installs again.
+  const std::lock_guard<std::mutex> lock(backend.installed_mutex);
+  backend.installed.clear();
+  ++backend.installed_epoch;
 }
 
 void Dispatcher::maybe_eject_slow_peer(BackendState& backend) {
@@ -291,16 +312,8 @@ bool Dispatcher::hedgeable(const service::Json& request) const {
   // answers; anything else could double-execute work. A dispatcher-level
   // fault plan disables hedging outright — a hedge would consume
   // "cluster.*" hits in a timing-dependent order.
-  if (options_.hedge_delay_ms <= 0.0 || !options_.fault_plan.empty())
-    return false;
-  if (backends_.size() < 2 || !request.is_object()) return false;
-  const service::Json* op = request.get("op");
-  if (op == nullptr || op->type() != service::Json::Type::kString)
-    return false;
-  const auto& name = op->as_string();
-  if (name != "run_study" && name != "run_replication" && name != "annotate")
-    return false;
-  return !request.get_bool("no_cache", false);
+  return options_.hedge_delay_ms > 0.0 && options_.fault_plan.empty() &&
+         backends_.size() >= 2 && cacheable_request(request);
 }
 
 Dispatcher::AttemptResult Dispatcher::attempt_backend(
@@ -401,6 +414,8 @@ service::Json Dispatcher::handle(const service::Json& request,
           service::Json::number(static_cast<double>(s.replicated)));
     r.set("replication_failures",
           service::Json::number(static_cast<double>(s.replication_failures)));
+    r.set("install_skips",
+          service::Json::number(static_cast<double>(s.install_skips)));
     r.set("deadline_refusals",
           service::Json::number(static_cast<double>(s.deadline_refusals)));
     r.set("retries_suppressed",
@@ -444,25 +459,11 @@ service::Json Dispatcher::handle(const service::Json& request,
 }
 
 bool Dispatcher::line_cacheable(const service::Json& request) const {
-  if (line_cache_.capacity() == 0 || !request.is_object()) return false;
-  const service::Json* op = request.get("op");
-  if (op == nullptr || op->type() != service::Json::Type::kString)
-    return false;
-  const auto& name = op->as_string();
-  if (name != "run_study" && name != "run_replication" && name != "annotate")
-    return false;
-  return !request.get_bool("no_cache", false);
+  return line_cache_.capacity() != 0 && cacheable_request(request);
 }
 
 bool Dispatcher::replicable(const service::Json& request) const {
-  if (options_.replication_factor < 2 || !request.is_object()) return false;
-  const service::Json* op = request.get("op");
-  if (op == nullptr || op->type() != service::Json::Type::kString)
-    return false;
-  const auto& name = op->as_string();
-  if (name != "run_study" && name != "run_replication" && name != "annotate")
-    return false;
-  return !request.get_bool("no_cache", false);
+  return options_.replication_factor >= 2 && cacheable_request(request);
 }
 
 bool Dispatcher::stream_replicable(const service::Json& request) const {
@@ -517,7 +518,7 @@ void Dispatcher::replicate_stream(const service::Json& request,
       else
         ++stats_.replication_failures;
     } catch (const std::exception&) {
-      backend.up.store(false);
+      mark_down(backend);
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.replication_failures;
     }
@@ -532,11 +533,14 @@ void Dispatcher::replicate(const service::Json& request,
   // the write set is its first R entries. The durable command form
   // (volatile fields stripped) ships with the response: replicas journal
   // nothing for installs — the disk write IS the durability — but they
-  // need the canonical key for the cache envelope.
-  service::Json install = service::Json::object();
-  install.set("op", service::Json::string("cache_install"));
-  install.set("request", service::strip_volatile_fields(request));
-  install.set("response", response);
+  // need the canonical key for the cache envelope. A replica that already
+  // stored this key (and has not been marked down since) is skipped, and
+  // the install object is only built once some replica needs it.
+  thread_local std::string key;
+  key.clear();
+  service::canonical_request_key(request, key);
+  const std::uint64_t key_hash = HashRing::hash(key);
+  service::Json install;
   const std::size_t r = std::min(options_.replication_factor, walk.size());
   for (std::size_t i = 0; i < r; ++i) {
     const std::size_t backend_index = walk[i];
@@ -550,19 +554,42 @@ void Dispatcher::replicate(const service::Json& request,
       ++stats_.replication_failures;
       continue;
     }
+    std::uint64_t epoch;
+    {
+      const std::lock_guard<std::mutex> lock(backend.installed_mutex);
+      epoch = backend.installed_epoch;
+      if (backend.installed.find(key_hash) != nullptr) {
+        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+        ++stats_.install_skips;
+        continue;
+      }
+    }
+    if (install.is_null()) {
+      install = service::Json::object();
+      install.set("op", service::Json::string("cache_install"));
+      install.set("request", service::strip_volatile_fields(request));
+      install.set("response", response);
+    }
     try {
       auto conn = acquire(backend, /*connect_attempts=*/10);
       const service::Json reply = conn->call(install);
       release(backend, std::move(conn));
       const bool stored = reply.get_string("status", "") == "ok" &&
                           reply.get_bool("stored", false);
+      if (stored) {
+        // An install that raced a mark_down is not remembered: the
+        // backend it reached may not be the one that comes back up.
+        const std::lock_guard<std::mutex> lock(backend.installed_mutex);
+        if (backend.installed_epoch == epoch)
+          backend.installed.put(key_hash, true);
+      }
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       if (stored)
         ++stats_.replicated;
       else
         ++stats_.replication_failures;
     } catch (const std::exception&) {
-      backend.up.store(false);
+      mark_down(backend);
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.replication_failures;
     }
@@ -710,7 +737,7 @@ service::Json Dispatcher::forward(const service::Json& request,
     BackendState& backend = *backends_[backend_index];
     // Injected outage: indistinguishable from a failed health check. The
     // prober restores the backend once its real ping succeeds.
-    if (faults_.fire_next("cluster.backend")) backend.up.store(false);
+    if (faults_.fire_next("cluster.backend")) mark_down(backend);
     if (!backend.up.load()) {
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.down_skips;

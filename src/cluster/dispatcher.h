@@ -15,13 +15,21 @@
 // asking the backend directly, which the bit-identity tests assert.
 //
 // Replication (replication_factor = R > 1): a computed result is the
-// "write" of this system, so after a cacheable request answers "ok" the
-// dispatcher installs {stripped request, response} on the remaining live
-// members of HashRing::replicas_for(key, R) via the "cache_install" op —
-// synchronously and hedge-free, so one run leaves a deterministic set of
-// warm replicas. Reads keep the full ring walk: the first live walk
-// candidate serves (deterministic preference order), and because the
-// walk is a prefix-stable extension of the replica set, killing the
+// "write" of this system, so the first time a cacheable request answers
+// "ok" the dispatcher installs {stripped request, response} on the
+// remaining live members of HashRing::replicas_for(key, R) via the
+// "cache_install" op — synchronously and hedge-free, so one run leaves a
+// deterministic set of warm replicas. Each result is installed on a
+// replica once: every backend remembers the hashes of the canonical keys
+// it answered "stored":true for (a bounded LRU, kInstalledKeysPerBackend
+// entries), and a repeat of such a key skips that replica (the
+// "install_skips" counter). A backend's set is cleared whenever the
+// dispatcher marks it down (transport failure, a failed install or
+// stream replication, an injected "cluster.backend" outage), so a
+// replica that was killed or restarted is installed again on the next
+// request for each key. Reads keep the full ring walk: the first live
+// walk candidate serves (deterministic preference order), and because
+// the walk is a prefix-stable extension of the replica set, killing the
 // primary lands the retry exactly on the replica that holds the result.
 //
 // handle() plugs into ServerOptions::handler, so the dispatcher front-end
@@ -163,6 +171,7 @@ struct DispatcherStats {
   std::uint64_t response_cache_hits = 0;  ///< answered without forwarding
   std::uint64_t replicated = 0;            ///< successful replica installs
   std::uint64_t replication_failures = 0;  ///< installs refused or lost
+  std::uint64_t install_skips = 0;  ///< installs a replica already held
   std::uint64_t deadline_refusals = 0;  ///< refused below deadline_floor_ms
   std::uint64_t retries_suppressed = 0;  ///< retries an empty bucket blocked
   std::uint64_t breaker_skips = 0;  ///< attempts an open breaker refused
@@ -228,6 +237,10 @@ class Dispatcher {
   DispatcherStats stats() const;
 
  private:
+  /// Bound on each backend's installed-key set. Past it the oldest keys
+  /// are forgotten and cost one more (idempotent) install each.
+  static constexpr std::size_t kInstalledKeysPerBackend = 4096;
+
   struct BackendState {
     BackendEndpoint endpoint;
     std::atomic<bool> up{true};
@@ -250,6 +263,13 @@ class Dispatcher {
     /// Wall/injected-clock timestamp of the prober's last attempt on this
     /// backend (0 = never probed). Surfaced in cluster_stats.
     std::atomic<std::uint64_t> last_probe_ms{0};
+
+    /// HashRing::hash of the canonical keys this backend stored through
+    /// cache_install, and a counter mark_down() bumps as it clears them.
+    /// Guarded by installed_mutex (never held across I/O).
+    std::mutex installed_mutex;
+    util::LruCache<std::uint64_t, bool> installed{kInstalledKeysPerBackend};
+    std::uint64_t installed_epoch = 0;
   };
 
   /// Admission verdict for one forward attempt against one backend.
@@ -275,6 +295,9 @@ class Dispatcher {
   /// Marks the backend down once down_after_failures consecutive
   /// transport failures accumulate.
   void note_transport_failure(BackendState& backend);
+  /// Takes the backend out of the walk until the prober sees it answer,
+  /// and forgets every key installed on it.
+  void mark_down(BackendState& backend);
   void maybe_eject_slow_peer(BackendState& backend);
   /// Adaptive hedge delay: the primary's hedge_quantile windowed latency
   /// when enough samples exist, hedge_delay_ms otherwise.
@@ -303,7 +326,8 @@ class Dispatcher {
   /// Releases a claimed half-open probe slot without recording an
   /// outcome (cancelled hedge attempts).
   void clear_probe_slot(BackendState& backend);
-  /// Fan an "ok" result out to the remaining first-R ring replicas.
+  /// Fan an "ok" result out to the remaining first-R ring replicas that
+  /// have not stored it yet.
   void replicate(const service::Json& request, const service::Json& response,
                  const std::vector<std::size_t>& walk,
                  std::size_t served_index);

@@ -94,6 +94,37 @@ class Parser {
     throw ParseError(os.str());
   }
 
+  // Nesting guard, like Json's: statements, full expressions and unary
+  // operands each hold one level while they parse, so a parenthesised
+  // sub-expression costs two, and every node a binary-operator or postfix
+  // chain wraps around the tree parsed so far holds one more (those
+  // chains deepen the AST without recursing here). Source nested past the
+  // bound ("((((", "{{{{", "a+a+a+...") fails like any other malformed
+  // function instead of overflowing the stack, and every AST that does
+  // parse stays shallow enough for the recursive passes that walk it.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser, std::size_t levels = 1)
+        : parser_(parser) {
+      for (std::size_t i = 0; i < levels; ++i) deeper();
+    }
+    ~DepthGuard() { parser_.depth_ -= held_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+    void deeper() {
+      if (parser_.depth_ >= kMaxDepth) parser_.fail("nesting too deep");
+      ++parser_.depth_;
+      ++held_;
+    }
+
+   private:
+    Parser& parser_;
+    std::size_t held_ = 0;
+  };
+
   const Token& peek(std::size_t lookahead = 0) const {
     const std::size_t i = pos_ + lookahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -248,6 +279,7 @@ class Parser {
   }
 
   StmtPtr parse_statement() {
+    const DepthGuard guard(*this);
     const Token& t = peek();
     if (t.is_punct("{")) return parse_block();
     if (t.is_punct(";")) {
@@ -431,6 +463,7 @@ class Parser {
   ExprPtr parse_expression() { return parse_assignment(); }
 
   ExprPtr parse_assignment() {
+    const DepthGuard guard(*this);
     ExprPtr lhs = parse_ternary();
     const Token& t = peek();
     static const char* kAssignOps[] = {"=",  "+=", "-=", "*=",  "/=",  "%=",
@@ -483,9 +516,11 @@ class Parser {
 
   ExprPtr parse_binary(int min_precedence) {
     ExprPtr lhs = parse_unary();
+    DepthGuard chain(*this, 0);
     for (;;) {
       const int prec = binary_precedence(peek());
       if (prec < min_precedence) return lhs;
+      chain.deeper();
       const std::string op = peek().text;
       advance();
       ExprPtr rhs = parse_binary(prec + 1);
@@ -547,6 +582,7 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
+    const DepthGuard guard(*this);
     const Token& t = peek();
     static const char* kPrefixOps[] = {"!", "~", "-", "+", "*", "&", "++", "--"};
     for (const char* op : kPrefixOps) {
@@ -621,9 +657,11 @@ class Parser {
 
   ExprPtr parse_postfix() {
     ExprPtr e = parse_primary();
+    DepthGuard chain(*this, 0);
     for (;;) {
       const Token& t = peek();
       if (t.is_punct("(")) {
+        chain.deeper();
         advance();
         ExprPtr call = make_expr(ExprKind::kCall, "", e->span);
         call->children.push_back(std::move(e));
@@ -643,6 +681,7 @@ class Parser {
         continue;
       }
       if (t.is_punct("[")) {
+        chain.deeper();
         advance();
         ExprPtr idx = make_expr(ExprKind::kIndex, "", e->span);
         idx->children.push_back(std::move(e));
@@ -653,6 +692,7 @@ class Parser {
         continue;
       }
       if (t.is_punct(".") || t.is_punct("->")) {
+        chain.deeper();
         const std::string op = t.text;
         advance();
         ExprPtr mem = make_expr(ExprKind::kMember, op, e->span);
@@ -664,6 +704,7 @@ class Parser {
         continue;
       }
       if (t.is_punct("++") || t.is_punct("--")) {
+        chain.deeper();
         const std::string op = "post" + t.text;
         const SourceSpan op_span = advance().span;
         ExprPtr post =
@@ -703,6 +744,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   std::set<std::string> typedefs_;
 };
 

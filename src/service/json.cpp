@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace decompeval::service {
 
@@ -110,25 +111,53 @@ void Json::push_back(Json value) {
 namespace {
 
 void dump_string(std::string_view s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (const char c : s) {
+  // Runs of bytes that need no escape (all of them, in practice) are
+  // appended in one call instead of a push_back per byte.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+      continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
+                           kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
+}
+
+// Appends the same bytes as printf("%.17g", v) for a finite v. Integral
+// values below 1e15 in magnitude print as plain integers under %.17g (the
+// exponent is under the precision, and %g strips the trailing zeros and
+// the point), so they go through the integer converter. -0.0 is integral
+// but prints "-0", so it takes the general path. Every other value goes
+// through to_chars(general, 17), which the standard defines as printf
+// with %.17g in the C locale: the same digits, exponent form and zero
+// stripping, without printf's format parsing and locale lookup.
+void dump_number(double v, std::string& out) {
+  char buf[32];
+  char* end;
+  if (std::fabs(v) < 1e15 && v == std::trunc(v) &&
+      !(v == 0.0 && std::signbit(v)))
+    end = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v)).ptr;
+  else
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        17)
+              .ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 }  // namespace
@@ -146,11 +175,9 @@ void Json::dump_to(std::string& out) const {
         out += "null";  // JSON has no Inf/NaN; null is the least-wrong spelling
         break;
       }
-      char buf[40];
       // %.17g round-trips every double and is deterministic, which keeps
       // service responses byte-identical across runs.
-      std::snprintf(buf, sizeof buf, "%.17g", number_);
-      out += buf;
+      dump_number(number_, out);
       break;
     }
     case Type::kString:
@@ -384,10 +411,18 @@ class Parser {
     }
     if (len == 0) fail("expected a JSON value");
     if (len + 1 >= sizeof token) fail("numeric token too long");
-    token[len] = '\0';
-    char* end = nullptr;
-    const double v = std::strtod(token, &end);
-    if (end != token + len) fail("malformed number");
+    // from_chars is correctly rounded like strtod, so wherever it reads
+    // the whole token it yields strtod's value. Everything else (a leading
+    // '+', out-of-range magnitudes, a token it stops short of) goes to
+    // strtod, which keeps the historical accept/reject outcome and value.
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(token, token + len, v);
+    if (ec != std::errc() || ptr != token + len) {
+      token[len] = '\0';
+      char* end = nullptr;
+      v = std::strtod(token, &end);
+      if (end != token + len) fail("malformed number");
+    }
     return Json::number(v);
   }
 

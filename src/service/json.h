@@ -1,10 +1,11 @@
 // Minimal JSON value type for the replication service's line-delimited
 // wire protocol. Deliberately small: null/bool/number/string/array/object,
 // insertion-ordered objects, and a deterministic dump() (every double is
-// printed with %.17g, so the same value always serializes to the same
-// bytes — the chaos suite compares service output digests bit-for-bit).
-// Not a general-purpose JSON library: no comments, no \uXXXX surrogate
-// pairs beyond the BMP, numbers parse via strtod.
+// printed as %.17g would print it, so the same value always serializes to
+// the same bytes — the chaos suite compares service output digests
+// bit-for-bit). Not a general-purpose JSON library: no comments, no
+// \uXXXX surrogate pairs beyond the BMP, and a number token is accepted
+// and valued exactly as strtod reads it.
 //
 // Allocation model: Json is pmr-backed. By default every node and string
 // lives on the global heap exactly as before, but parse() and the

@@ -91,6 +91,61 @@ TEST(AnnotateOp, UnparsableSourceIsStillOkAndDeterministic) {
   EXPECT_EQ(r1.dump(), r2.dump());
 }
 
+// ------------------------------------------------------- nesting bound
+
+// A function nesting `depth` parentheses, followed by kTwoFunctions.
+std::string nested_document(std::size_t depth) {
+  return "int deep(int a) { return " + std::string(depth, '(') + "a" +
+         std::string(depth, ')') + "; }\n\n" + kTwoFunctions;
+}
+
+TEST(AnnotateOp, DeepNestingFailsOneFunctionAndAnnotatesTheRest) {
+  // 100,000 nested parentheses once overflowed the parser's stack, so a
+  // backend serving this request died. Now the over-deep function is an
+  // ordinary parse failure and its neighbours are annotated as usual.
+  const std::string deep = nested_document(100000);
+  analysis_service::AnnotationEngine engine;
+  const analysis_service::AnnotationResult offline = engine.annotate(deep);
+  ASSERT_EQ(offline.functions.size(), 3u);
+  EXPECT_FALSE(offline.functions[0].parsed);
+  EXPECT_NE(offline.functions[0].note.find("nesting too deep"),
+            std::string::npos);
+  EXPECT_EQ(offline.functions[1].name, "first");
+  EXPECT_EQ(offline.functions[2].name, "second");
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_TRUE(offline.functions[i].parsed);
+    EXPECT_FALSE(offline.functions[i].annotations.empty());
+  }
+
+  ServiceCore core;
+  const Json r = core.handle(annotate_request(deep));
+  ASSERT_EQ(r.get_string("status", ""), "ok");
+  const Json* functions = r.get("functions");
+  ASSERT_NE(functions, nullptr);
+  ASSERT_EQ(functions->items().size(), 3u);
+  EXPECT_FALSE(functions->items()[0].get_bool("parsed", true));
+  EXPECT_NE(functions->items()[0].get_string("note", "").find(
+                "nesting too deep"),
+            std::string::npos);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_TRUE(functions->items()[i].get_bool("parsed", false));
+    const Json* annotations = functions->items()[i].get("annotations");
+    ASSERT_NE(annotations, nullptr);
+    EXPECT_FALSE(annotations->items().empty());
+  }
+}
+
+TEST(AnnotateOp, NestingWithinTheBoundStillParses) {
+  analysis_service::AnnotationEngine engine;
+  const analysis_service::AnnotationResult result =
+      engine.annotate(nested_document(200));
+  ASSERT_EQ(result.functions.size(), 3u);
+  EXPECT_TRUE(result.functions[0].parsed);
+  EXPECT_EQ(result.functions[0].name, "deep");
+  EXPECT_TRUE(result.functions[1].parsed);
+  EXPECT_TRUE(result.functions[2].parsed);
+}
+
 // ------------------------------------------- served == offline lint
 
 TEST(AnnotateOp, ServedDiagnosticsMatchOfflineLintAtEveryThreadCount) {

@@ -716,6 +716,78 @@ TEST(ClusterTest, ReplicatedWriteWarmsTheReplicaAndSurvivesPrimaryDeath) {
   EXPECT_EQ(cluster.dispatcher->stats().exhausted, 0u);
 }
 
+TEST(ClusterTest, EachResultIsInstalledOnAReplicaOnceUntilItGoesDown) {
+  TestCluster cluster("installonce", 3, {}, /*response_cache_capacity=*/0,
+                      /*replication_factor=*/2);
+  service::ServiceClient client;
+  client.connect(cluster.front_socket);
+
+  // Three identical requests: the replica gets the result once, and the
+  // two repeats skip it.
+  const Json request = study_request(23);
+  const Json cold = client.call(request);
+  ASSERT_EQ(cold.get_string("status", ""), "ok");
+  for (int repeat = 0; repeat < 2; ++repeat)
+    EXPECT_EQ(client.call(request).dump(), cold.dump());
+  cluster::DispatcherStats stats = cluster.dispatcher->stats();
+  EXPECT_EQ(stats.replicated, 1u);
+  EXPECT_EQ(stats.install_skips, 2u);
+  EXPECT_EQ(stats.replication_failures, 0u);
+
+  const std::string key = DiskCache::canonical_request_key(request);
+  const auto replicas = cluster.dispatcher->ring().replicas_for(key, 2);
+  ASSERT_EQ(replicas.size(), 2u);
+  const auto index_of = [&](const std::string& id) {
+    for (std::size_t i = 0; i < cluster.backends.size(); ++i)
+      if ("installonce-backend-" + std::to_string(i) == id) return i;
+    return cluster.backends.size();
+  };
+  const std::size_t primary = index_of(replicas[0]);
+  const std::size_t replica = index_of(replicas[1]);
+  ASSERT_LT(primary, cluster.backends.size());
+  ASSERT_LT(replica, cluster.backends.size());
+  EXPECT_EQ(cluster.backends[replica]->cache().stats().stores, 1u);
+
+  // Stop the replica's server and send a request whose replica set holds
+  // it, so the dispatcher marks it down (which clears what it installed
+  // there); then bring the server back on the same socket.
+  const std::string replica_socket = cluster.servers[replica]->socket_path();
+  cluster.servers[replica]->stop();
+  std::uint64_t seed = 100;
+  while (true) {
+    const auto set = cluster.dispatcher->ring().replicas_for(
+        DiskCache::canonical_request_key(study_request(seed)), 2);
+    if (std::find(set.begin(), set.end(), replicas[1]) != set.end()) break;
+    ++seed;
+  }
+  EXPECT_EQ(client.call(study_request(seed)).get_string("status", ""), "ok");
+  ASSERT_FALSE(cluster.dispatcher->backend_up(replicas[1]));
+  service::ServerOptions revived;
+  revived.socket_path = replica_socket;
+  revived.workers = 2;
+  revived.handler = cluster.backends[replica]->handler();
+  cluster.servers[replica] =
+      std::make_unique<service::ReplicationServer>(revived);
+  cluster.servers[replica]->start();
+  for (int i = 0; i < 200 && !cluster.dispatcher->backend_up(replicas[1]);
+       ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(cluster.dispatcher->backend_up(replicas[1]));
+
+  // The next re-fetch installs on the returned replica again.
+  stats = cluster.dispatcher->stats();
+  EXPECT_EQ(client.call(request).dump(), cold.dump());
+  const cluster::DispatcherStats after = cluster.dispatcher->stats();
+  EXPECT_EQ(after.replicated, stats.replicated + 1);
+  EXPECT_EQ(after.install_skips, stats.install_skips);
+  EXPECT_EQ(cluster.backends[replica]->cache().stats().stores, 2u);
+
+  // Killing the primary still fails over to the replica's bytes.
+  cluster.servers[primary]->stop();
+  EXPECT_EQ(client.call(request).dump(), cold.dump());
+  EXPECT_EQ(cluster.dispatcher->stats().exhausted, 0u);
+}
+
 // --- disk cache: growth bound ---------------------------------------------
 
 TEST(DiskCacheTest, MaxBytesRefusesGrowthExactlyAtTheBoundary) {

@@ -102,6 +102,52 @@ TEST(Parser, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(Parser, NestingPastTheBoundIsAParseErrorNotAStackOverflow) {
+  // Each shape deepens the parse or the AST by one level per repeat:
+  // parentheses, prefix operators, right-associative assignment, nested
+  // ternaries, nested blocks, and the left-deep operator, index and call
+  // chains that the parser builds in a loop.
+  const auto repeat = [](const std::string& unit, std::size_t n) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out += unit;
+    return out;
+  };
+  const std::size_t n = 100000;
+  const std::vector<std::string> bodies = {
+      "return " + std::string(n, '(') + "a" + std::string(n, ')') + ";",
+      "return " + repeat("- ", n) + "a;",
+      "return a" + repeat(" = a", n) + ";",
+      "return a" + repeat(" ? a", n) + repeat(" : a", n) + ";",
+      std::string(n, '{') + std::string(n, '}') + " return a;",
+      "return a" + repeat(" + a", n) + ";",
+      "return a" + repeat("[0]", n) + ";",
+      "return a" + repeat("()", n) + ";",
+  };
+  for (const std::string& body : bodies) {
+    try {
+      parse_function("int f(int a) { " + body + " }");
+      FAIL() << "expected ParseError for " << body.substr(0, 40);
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(Parser, ModerateNestingStillParses) {
+  const std::size_t n = 200;
+  const Function parens = parse_function(
+      "int f(int a) { return " + std::string(n, '(') + "a" +
+      std::string(n, ')') + "; }");
+  ASSERT_EQ(parens.body->body.size(), 1u);
+  EXPECT_EQ(parens.body->body[0]->exprs[0]->kind, ExprKind::kIdentifier);
+  std::string sum = "a";
+  for (std::size_t i = 0; i < n; ++i) sum += " + a";
+  EXPECT_NO_THROW(parse_function("int f(int a) { return " + sum + "; }"));
+  EXPECT_NO_THROW(parse_function("int f(int a) { " + std::string(n, '{') +
+                                 std::string(n, '}') + " return a; }"));
+}
+
 TEST(Parser, TypeHeuristics) {
   std::set<std::string> typedefs = {"buffer"};
   EXPECT_TRUE(is_type_like_name("size_t", {}));

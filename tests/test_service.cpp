@@ -2,12 +2,19 @@
 // (statuses, retries, caching, deadlines), and the Unix-domain-socket
 // server round trip including watchdog cancellation and backpressure.
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -90,6 +97,251 @@ TEST(Json, DeepNestingIsRejectedNotAStackOverflow) {
   // Moderate nesting (well under the cap) still parses.
   EXPECT_NO_THROW(
       Json::parse(std::string(100, '[') + std::string(100, ']')));
+}
+
+// The renderer as it was before it stopped calling printf: %.17g for
+// every finite number and one push_back per string byte. Json::dump must
+// stay byte-identical to it, since cache keys, disk-cache files, journal
+// records and every served response are its output.
+void reference_dump_string(std::string_view s, std::string& out) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
+void reference_dump(const Json& v, std::string& out) {
+  switch (v.type()) {
+    case Json::Type::kNull:
+      out += "null";
+      break;
+    case Json::Type::kBool:
+      out += v.as_bool() ? "true" : "false";
+      break;
+    case Json::Type::kNumber: {
+      if (!std::isfinite(v.as_number())) {
+        out += "null";
+        break;
+      }
+      char buf[40];
+      std::snprintf(buf, sizeof buf, "%.17g", v.as_number());
+      out += buf;
+      break;
+    }
+    case Json::Type::kString:
+      reference_dump_string(v.as_string(), out);
+      break;
+    case Json::Type::kArray: {
+      out.push_back('[');
+      for (std::size_t i = 0; i < v.items().size(); ++i) {
+        if (i) out.push_back(',');
+        reference_dump(v.items()[i], out);
+      }
+      out.push_back(']');
+      break;
+    }
+    case Json::Type::kObject: {
+      out.push_back('{');
+      bool first = true;
+      for (const auto& [k, member] : v.members()) {
+        if (!first) out.push_back(',');
+        first = false;
+        reference_dump_string(k, out);
+        out.push_back(':');
+        reference_dump(member, out);
+      }
+      out.push_back('}');
+      break;
+    }
+  }
+}
+
+std::string reference_dump(const Json& v) {
+  std::string out;
+  reference_dump(v, out);
+  return out;
+}
+
+double from_bits(std::uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+std::uint64_t to_bits(double d) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+// The historical number rule: strtod has to consume the whole token.
+bool reference_parse_number(const std::string& token, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(token.c_str(), &end);
+  return end == token.c_str() + token.size();
+}
+
+std::vector<double> number_corpus() {
+  std::vector<double> corpus;
+  std::mt19937_64 rng(20250614);
+  // Random bit patterns: every exponent, NaN and Inf payloads included.
+  for (int i = 0; i < 100000; ++i) corpus.push_back(from_bits(rng()));
+  // Subnormals, and the ends of the normal range.
+  for (int i = 0; i < 20000; ++i)
+    corpus.push_back(from_bits(rng() & 0x800FFFFFFFFFFFFFull));
+  for (const double d : {DBL_TRUE_MIN, DBL_MIN, DBL_MIN / 2, DBL_MAX,
+                         std::nextafter(DBL_MIN, 0.0), DBL_EPSILON}) {
+    corpus.push_back(d);
+    corpus.push_back(-d);
+  }
+  // The integer fast path's edges, and integers on either side of them.
+  const double two53 = 9007199254740992.0;
+  for (const double d : {0.0, 1.0, 1e15 - 1, 1e15, 1e15 + 1, 1e16, 1e17,
+                         two53 - 1, two53, two53 + 2, 123456789012345.0,
+                         999999999999999.0, 1e15 - 0.5, 1e15 + 0.5}) {
+    corpus.push_back(d);
+    corpus.push_back(-d);
+  }
+  // Random integers and short decimals at every magnitude the service
+  // emits (counts, offsets, p-values, estimates).
+  std::uniform_int_distribution<long long> ints(-1000000000000000LL,
+                                                1000000000000000LL);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  for (int i = 0; i < 50000; ++i) {
+    corpus.push_back(static_cast<double>(ints(rng)));
+    corpus.push_back(static_cast<double>(ints(rng) % 100000) *
+                     std::pow(10.0, exponent(rng)));
+  }
+  corpus.push_back(-0.0);
+  corpus.push_back(std::numeric_limits<double>::quiet_NaN());
+  corpus.push_back(-std::numeric_limits<double>::quiet_NaN());
+  corpus.push_back(std::numeric_limits<double>::infinity());
+  corpus.push_back(-std::numeric_limits<double>::infinity());
+  return corpus;
+}
+
+TEST(Json, NumberRenderingIsByteIdenticalToPrintf) {
+  std::size_t mismatches = 0;
+  for (const double d : number_corpus()) {
+    const Json v = Json::number(d);
+    const std::string expected = reference_dump(v);
+    const std::string got = v.dump();
+    if (got != expected && ++mismatches <= 10)
+      ADD_FAILURE() << "bits " << std::hex << to_bits(d) << ": " << got
+                    << " != " << expected;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(Json::number(-0.0).dump(), "-0");
+  EXPECT_EQ(Json::number(std::nan("")).dump(), "null");
+  EXPECT_EQ(Json::number(-HUGE_VAL).dump(), "null");
+}
+
+TEST(Json, StringRenderingIsByteIdenticalToTheBytewiseEscaper) {
+  std::vector<std::string> corpus;
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) {
+    corpus.emplace_back(1, static_cast<char>(c));
+    corpus.push_back("ab" + std::string(1, static_cast<char>(c)) + "cd");
+    every_byte.push_back(static_cast<char>(c));
+  }
+  corpus.push_back(every_byte);
+  corpus.push_back(every_byte + every_byte);
+  corpus.push_back("");
+  corpus.push_back("\"quoted\" and \\backslashed\\ \"\"\\\\");
+  corpus.push_back("int f(int a1) {\n\treturn a1;\r\n}\n");
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(rng() % 64, '\0');
+    for (char& c : s) c = static_cast<char>(rng() & 0xFF);
+    corpus.push_back(s);
+  }
+  for (const std::string& s : corpus) {
+    const Json v = Json::string(s);
+    EXPECT_EQ(v.dump(), reference_dump(v));
+    // Object keys take the same escaper.
+    Json obj = Json::object();
+    obj.set(s, Json::number(1.5));
+    EXPECT_EQ(obj.dump(), reference_dump(obj));
+  }
+}
+
+TEST(Json, DocumentRenderingIsByteIdenticalToTheReference) {
+  // An annotate-shaped response: nested objects, spans, messages.
+  ServiceCore core;
+  Json request = make_request("annotate");
+  request.set("source",
+              Json::string("int sub_401000(int a1) {\n  int v5;\n"
+                           "  return v5 + a1 * 0.5;\n}\n"
+                           "int f(int a2) { int dead = a2; return a2; }\n"));
+  const Json response = core.handle(request);
+  ASSERT_EQ(response.get_string("status", ""), "ok");
+  EXPECT_EQ(response.dump(), reference_dump(response));
+  EXPECT_EQ(Json::parse(response.dump()).dump(), response.dump());
+}
+
+TEST(Json, NumberParsingMatchesStrtod) {
+  std::vector<std::string> tokens;
+  for (const double d : number_corpus()) {
+    if (!std::isfinite(d)) continue;
+    tokens.push_back(reference_dump(Json::number(d)));
+  }
+  for (const char* t :
+       {"0", "-0", "0e0", "1E5", "1e+5", "1e-5", "0.1", "1e-400",
+        "4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+        "1.7976931348623157e308", "1.7976931348623158e308",
+        "1.7976931348623159e308", "123456789012345678901234567890",
+        "0.1000000000000000055511151231257827021181583404541015625",
+        "9007199254740993", "-9007199254740993"})
+    tokens.emplace_back(t);
+  std::size_t mismatches = 0;
+  for (const std::string& token : tokens) {
+    double expected = 0.0;
+    ASSERT_TRUE(reference_parse_number(token, &expected)) << token;
+    const double got = Json::parse(token).as_number();
+    if (to_bits(got) != to_bits(expected) && ++mismatches <= 10)
+      ADD_FAILURE() << token << ": parsed " << got << ", strtod " << expected;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Json, MalformedNumberTokensKeepTheirOldOutcome) {
+  for (const char* token :
+       {"+1", "1.", ".5", "-", "1e", "00", "1e999", "-1e999", "1e-999",
+        "--1", "1e5e5", "1..2", "+", ".", "e5", "1e+", "-.5", "+.5e1",
+        "007", "1.5e", "1-2"}) {
+    double expected = 0.0;
+    const bool accepted = reference_parse_number(token, &expected);
+    if (accepted) {
+      double got = 0.0;
+      ASSERT_NO_THROW(got = Json::parse(token).as_number()) << token;
+      EXPECT_EQ(to_bits(got), to_bits(expected)) << token;
+    } else {
+      EXPECT_THROW(Json::parse(token), service::JsonError) << token;
+    }
+  }
+  // The historical outcomes, spelled out.
+  EXPECT_EQ(Json::parse("+1").as_number(), 1.0);
+  EXPECT_EQ(Json::parse("1.").as_number(), 1.0);
+  EXPECT_EQ(Json::parse(".5").as_number(), 0.5);
+  EXPECT_EQ(Json::parse("00").as_number(), 0.0);
+  EXPECT_EQ(Json::parse("1e999").as_number(), HUGE_VAL);
+  EXPECT_THROW(Json::parse("-"), service::JsonError);
+  EXPECT_THROW(Json::parse("1e"), service::JsonError);
 }
 
 TEST(Json, ObjectSetReplacesInPlace) {
