@@ -8,6 +8,8 @@
 #include "embed/embedding.h"
 #include "util/check.h"
 
+#include <string>
+
 namespace {
 
 using namespace decompeval::embed;
@@ -58,8 +60,11 @@ TEST_F(EmbeddingTest, SynonymsAreCloserThanCrossCluster) {
   EXPECT_GT(size_length, 0.3);
 }
 
+// The pair holds std::string, not const char*: gtest prints a pointer
+// parameter with its address, which changes from run to run under ASLR,
+// and gtest_discover_tests builds each CTest name from that printed value.
 class SynonymSweep
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(SynonymSweep, IntraClusterSimilarityIsHigh) {
   static const EmbeddingModel model = EmbeddingModel::train_default(8000, 42);
